@@ -94,21 +94,48 @@ def kernel_fingerprint(kernel: Kernel) -> str:
     dims, operations (name/class/operands/reference), the memory-reference
     table and the DDG edge multiset.  Two kernels with equal fingerprints
     produce identical cells on identical machines.
+
+    The hash is memoized on the kernel's dependence graph
+    (``ddg.fingerprint_memo``) together with the loop object it was
+    computed for, so a repeat query is a lookup.  ``ddg.add_edge`` and
+    pickling drop the memo, and assigning a different loop to
+    ``kernel.loop`` misses it; loops themselves are de-facto immutable
+    (the assumption :func:`~repro.cme.trace.loop_fingerprint` already
+    memoizes on).
     """
+    ddg = kernel.ddg
+    memo = ddg.fingerprint_memo
+    if memo is not None and memo[0] is kernel.loop:
+        return memo[1]
     edges = sorted(
-        (e.src, e.dst, e.kind, e.distance) for e in kernel.ddg.edges()
+        (e.src, e.dst, e.kind, e.distance) for e in ddg.edges()
     )
     digest = hashlib.sha256()
     digest.update(repr(kernel.loop).encode())
     digest.update(repr(edges).encode())
-    return digest.hexdigest()[:16]
+    fingerprint = digest.hexdigest()[:16]
+    ddg.fingerprint_memo = (kernel.loop, fingerprint)
+    return fingerprint
+
+
+#: Attribute memoizing :func:`machine_key` on the (frozen) machine, in
+#: its ``__dict__`` as ``functools.cached_property`` would.
+_MACHINE_KEY_ATTR = "_stage_machine_key"
 
 
 def machine_key(machine: MachineConfig) -> str:
-    """Canonical JSON encoding of a machine (hashable cache-key part)."""
-    return json.dumps(
-        machine.to_dict(), sort_keys=True, separators=(",", ":")
-    )
+    """Canonical JSON encoding of a machine (hashable cache-key part).
+
+    Memoized on the machine object: configs are frozen, and
+    ``with_buses`` / ``dataclasses.replace`` build new objects.
+    """
+    key = machine.__dict__.get(_MACHINE_KEY_ATTR)
+    if key is None:
+        key = json.dumps(
+            machine.to_dict(), sort_keys=True, separators=(",", ":")
+        )
+        machine.__dict__[_MACHINE_KEY_ATTR] = key
+    return key
 
 
 # ----------------------------------------------------------------------

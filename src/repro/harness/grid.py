@@ -37,6 +37,7 @@ import time
 import uuid
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import (
     Callable,
     Dict,
@@ -106,6 +107,16 @@ def machine_from_key(key: str) -> MachineConfig:
     return MachineConfig.from_dict(json.loads(key))
 
 
+@lru_cache(maxsize=256)
+def _machine_name(key: str) -> str:
+    """The ``name`` field of a :func:`machine_key` string.
+
+    Memoized per key: a process sees a handful of machines, and every
+    cell of every job asks for its machine's name.
+    """
+    return json.loads(key)["name"]
+
+
 # ----------------------------------------------------------------------
 # Cell specification
 # ----------------------------------------------------------------------
@@ -168,7 +179,7 @@ class CellSpec:
 
     @property
     def machine_name(self) -> str:
-        return json.loads(self.machine)["name"]
+        return _machine_name(self.machine)
 
     def build_machine(self) -> MachineConfig:
         return machine_from_key(self.machine)

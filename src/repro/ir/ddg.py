@@ -63,6 +63,13 @@ class DependenceGraph:
         self._edge_cache: Optional[Tuple[DepEdge, ...]] = None
         self._in_cache: Optional[Dict[str, Tuple[DepEdge, ...]]] = None
         self._out_cache: Optional[Dict[str, Tuple[DepEdge, ...]]] = None
+        #: Content-fingerprint memo of the kernel owning this graph, as
+        #: ``(loop, fingerprint)`` — kept and read only by
+        #: :func:`repro.engine.stagestore.kernel_fingerprint`, dropped by
+        #: add_edge together with the adjacency caches and by pickling.
+        self.fingerprint_memo: Optional[Tuple[Loop, str]] = None
+        #: Name of the shared kernel this graph belongs to once frozen.
+        self._frozen_by: Optional[str] = None
         for op in loop.operations:
             self._graph.add_node(op.name, op=op)
         for edge in edges or []:
@@ -73,6 +80,13 @@ class DependenceGraph:
     # ------------------------------------------------------------------
     def add_edge(self, edge: DepEdge) -> None:
         """Insert a dependence edge (endpoints must be loop operations)."""
+        if self._frozen_by is not None:
+            raise TypeError(
+                f"the dependence graph of kernel {self._frozen_by!r} is "
+                f"frozen: it is shared by every caller of the suite "
+                f"builders; build a private copy from the kernel factory "
+                f"or a LoopBuilder before adding edges"
+            )
         for end in (edge.src, edge.dst):
             if end not in self._graph:
                 raise KeyError(f"operation {end!r} is not in the loop")
@@ -82,6 +96,23 @@ class DependenceGraph:
         self._edge_cache = None
         self._in_cache = None
         self._out_cache = None
+        self.fingerprint_memo = None
+
+    def freeze(self, kernel_name: str) -> None:
+        """Reject any further :meth:`add_edge` (and networkx mutation).
+
+        Used on kernels handed out to every caller (the suite builders);
+        the error names ``kernel_name``.
+        """
+        self._frozen_by = kernel_name
+        nx.freeze(self._graph)
+
+    def __getstate__(self) -> dict:
+        # A copy unpickled elsewhere (a pool worker, a test) recomputes
+        # its fingerprint from content instead of trusting the memo.
+        state = self.__dict__.copy()
+        state["fingerprint_memo"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Queries

@@ -10,6 +10,12 @@ ready for the schedulers.
 Compared with the SPECfp95-style suite these loops are smaller, hotter
 (footprints closer to the 8KB cache) and richer in reductions — the
 regime where register buses, not memory buses, dominate.
+
+:func:`dsp_suite` follows the suite contract of
+:mod:`repro.workloads.suite`: each kernel is built once per process,
+every caller gets the same frozen object (``ddg.add_edge`` raises
+:class:`TypeError`), and a private, mutable copy comes from calling the
+factory (``fir()``, ``DSP_KERNELS["fir"]()``) directly.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 from typing import Callable, List, Mapping, Optional
 
 from ..ir.builder import Kernel, LoopBuilder
+from .suite import _shared_kernel
 
 __all__ = [
     "fir",
@@ -148,9 +155,12 @@ DSP_KERNELS: Mapping[str, Callable[[], Kernel]] = {
 
 
 def dsp_suite(names: Optional[List[str]] = None) -> List[Kernel]:
-    """Instantiate the DSP suite (or a named subset, in registry order)."""
+    """The DSP suite (or a named subset, in registry order).
+
+    The kernels are shared and frozen (see the module docstring).
+    """
     selected = list(DSP_KERNELS) if names is None else names
     unknown = [n for n in selected if n not in DSP_KERNELS]
     if unknown:
         raise KeyError(f"unknown kernels {unknown}; known: {list(DSP_KERNELS)}")
-    return [DSP_KERNELS[name]() for name in selected]
+    return [_shared_kernel(DSP_KERNELS[name]) for name in selected]

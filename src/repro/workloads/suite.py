@@ -4,6 +4,17 @@
 factory producing our synthetic stand-in kernel; :func:`spec_suite`
 instantiates all of them.  The registry is ordered as the paper lists the
 programs (Section 5.1).
+
+**Shared kernels.**  The suite builders (:func:`spec_suite`,
+:func:`kernel_by_name`, :func:`streaming_long_suite` and
+:func:`repro.workloads.dsp.dsp_suite`) build each kernel once per
+process and hand every caller the same object, so a repeated sweep or
+service job neither rebuilds nor re-hashes its kernels (content
+fingerprints are memoized on the kernel).  Those shared kernels are
+frozen: ``kernel.ddg.add_edge`` raises :class:`TypeError`.  A caller
+that needs to mutate a kernel builds a private copy by calling the
+factory in the registry (``SPEC_KERNELS[name]()``) or a
+:class:`~repro.ir.builder.LoopBuilder`.
 """
 
 from __future__ import annotations
@@ -46,35 +57,57 @@ STREAMING_LONG_KERNELS: Mapping[str, Callable[[], Kernel]] = {
 }
 
 
+#: factory -> the kernel it built, frozen (see the module docstring).
+_SHARED: Dict[Callable[[], Kernel], Kernel] = {}
+
+
+def _shared_kernel(factory: Callable[[], Kernel]) -> Kernel:
+    """The process-wide kernel ``factory`` builds, built on first use.
+
+    Its dependence graph is frozen, since every caller shares it.
+    """
+    kernel = _SHARED.get(factory)
+    if kernel is None:
+        built = factory()
+        built.ddg.freeze(built.name)
+        # setdefault: two threads racing on a first build agree on
+        # whichever object landed first.
+        kernel = _SHARED.setdefault(factory, built)
+    return kernel
+
+
 def streaming_long_suite(names: Optional[List[str]] = None) -> List[Kernel]:
-    """Instantiate the long-stream suite (or a named subset)."""
+    """The long-stream suite (or a named subset); shared, frozen kernels."""
     selected = list(STREAMING_LONG_KERNELS) if names is None else names
     unknown = [n for n in selected if n not in STREAMING_LONG_KERNELS]
     if unknown:
         raise KeyError(
             f"unknown kernels {unknown}; known: {list(STREAMING_LONG_KERNELS)}"
         )
-    return [STREAMING_LONG_KERNELS[name]() for name in selected]
+    return [_shared_kernel(STREAMING_LONG_KERNELS[name]) for name in selected]
 
 
 def spec_suite(names: Optional[List[str]] = None) -> List[Kernel]:
-    """Instantiate the suite (or the named subset, in registry order)."""
+    """The suite (or the named subset, in registry order).
+
+    The kernels are shared and frozen (see the module docstring).
+    """
     selected = list(SPEC_KERNELS) if names is None else names
     unknown = [n for n in selected if n not in SPEC_KERNELS]
     if unknown:
         raise KeyError(f"unknown kernels {unknown}; known: {list(SPEC_KERNELS)}")
-    return [SPEC_KERNELS[name]() for name in selected]
+    return [_shared_kernel(SPEC_KERNELS[name]) for name in selected]
 
 
 def kernel_by_name(name: str) -> Kernel:
-    """Instantiate one suite kernel by its SPECfp95 name."""
+    """One suite kernel by its SPECfp95 name (shared and frozen)."""
     try:
         factory = SPEC_KERNELS[name]
     except KeyError:
         raise KeyError(
             f"unknown kernel {name!r}; known: {list(SPEC_KERNELS)}"
         ) from None
-    return factory()
+    return _shared_kernel(factory)
 
 
 def suite_stats() -> Dict[str, Dict[str, int]]:
